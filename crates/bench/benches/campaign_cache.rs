@@ -4,13 +4,11 @@
 //! tracked in the perf trajectory.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dsarp_bench::bench_scale;
+use dsarp_bench::{bench_scale, fresh_dir};
 use dsarp_campaign::{Campaign, CampaignSpec, SweepSpec, WorkloadSet};
 use dsarp_core::Mechanism;
 use dsarp_dram::Density;
 use std::hint::black_box;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn spec() -> CampaignSpec {
     CampaignSpec::new("bench", bench_scale()).with_sweep(SweepSpec::new(
@@ -19,19 +17,6 @@ fn spec() -> CampaignSpec {
         &[Mechanism::RefAb, Mechanism::RefPb, Mechanism::Dsarp],
         &[Density::G32],
     ))
-}
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    static COUNTER: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir()
-        .join("dsarp-campaign-bench")
-        .join(format!(
-            "{tag}-{}-{}",
-            std::process::id(),
-            COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 fn bench(c: &mut Criterion) {

@@ -55,11 +55,13 @@ fn bench(c: &mut Criterion) {
             |b, &telemetry| {
                 b.iter(|| {
                     let cfg = SimConfig::paper(Mechanism::Dsarp, Density::G32);
-                    let mut system = SystemBuilder::new(&cfg).workload(&workload).build();
-                    if telemetry {
-                        system.enable_telemetry();
-                    }
-                    black_box(system.run(cycles))
+                    black_box(
+                        SystemBuilder::new(&cfg)
+                            .workload(&workload)
+                            .telemetry(telemetry)
+                            .build()
+                            .run(cycles),
+                    )
                 })
             },
         );

@@ -34,11 +34,15 @@
 //!   workers' cells, and reduces artifacts byte-identically to a
 //!   single-process run.
 //!
-//! The `experiments` binary in this crate regenerates every artifact of
-//! the paper through the engine:
+//! * The [`paper`] module declares the paper's evaluation as one campaign
+//!   ([`CampaignSpec::paper`]) and reduces its report to every table and
+//!   figure ([`PaperArtifacts`]).
+//!
+//! The `experiments` binary (in the `dsarp-serve` crate) regenerates every
+//! artifact of the paper through the engine:
 //!
 //! ```text
-//! cargo run --release -p dsarp-campaign --bin experiments -- --scale quick
+//! cargo run --release -p dsarp-serve --bin experiments -- --scale quick
 //! ```
 //!
 //! # Example
@@ -78,6 +82,7 @@ pub mod export;
 pub mod fingerprint;
 pub mod job;
 pub mod lease;
+pub mod paper;
 pub mod remote;
 pub mod retry;
 pub mod runner;
@@ -90,6 +95,7 @@ pub use events::{Event, EventLog};
 pub use fingerprint::Fingerprint;
 pub use job::{Job, JobOutput, RunSummary};
 pub use lease::{Lease, LeaseInfo};
+pub use paper::PaperArtifacts;
 pub use remote::RemoteStore;
 pub use retry::RetryPolicy;
 pub use runner::{

@@ -34,7 +34,7 @@
 
 use crate::fingerprint::Fingerprint;
 use dsarp_cpu::{
-    read_trace_path, BinTraceSource, Materialize, SharedCyclicTrace, TraceDialect, TraceFileError,
+    read_trace_path, BinTraceSource, CyclicTrace, Materialize, TraceDialect, TraceFileError,
     TraceOp, TraceSource,
 };
 use dsarp_workloads::{SyntheticTrace, Workload};
@@ -227,7 +227,7 @@ impl TraceRef {
     /// [`TraceRef::content_hash`].
     pub fn open(&self) -> Box<dyn TraceSource> {
         if let Some(ops) = &self.ops {
-            return Box::new(SharedCyclicTrace::new(Arc::clone(ops)));
+            return Box::new(CyclicTrace::new(Arc::clone(ops)));
         }
         self.reads.fetch_add(1, Ordering::Relaxed);
         if self.dialect == TraceDialect::Bin {
@@ -257,7 +257,7 @@ impl TraceRef {
             self.path.display()
         );
         let ops = summary.ops.expect("Materialize::All keeps ops");
-        Box::new(SharedCyclicTrace::new(ops.into()))
+        Box::new(CyclicTrace::from(ops))
     }
 }
 

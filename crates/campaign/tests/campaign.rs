@@ -5,7 +5,7 @@
 
 use dsarp_campaign::{Campaign, CampaignReport, CampaignSpec, SweepSpec, WorkloadSet};
 use dsarp_core::Mechanism;
-use dsarp_dram::Density;
+use dsarp_dram::{Density, Retention};
 use dsarp_sim::experiments::harness::{Grid, Scale};
 use dsarp_sim::experiments::report;
 use dsarp_sim::SimConfig;
@@ -157,33 +157,66 @@ fn partial_campaign_then_full_reuses_overlap() {
     let _ = std::fs::remove_dir_all(fresh_dir);
 }
 
+/// Every `SweepSpec` override must build the same cell configuration as
+/// the equivalent `SimConfig` builder call: each sweep's campaign grid is
+/// compared cell by cell against `Grid::compute_with` under that call.
 #[test]
 fn campaign_grid_matches_direct_grid_compute() {
+    type Override = fn(SimConfig) -> SimConfig;
     let scale = tiny_scale();
-    let spec = CampaignSpec::new("parity", scale).with_sweep(SweepSpec::new(
-        "demo",
-        WorkloadSet::Intensive { cores: 2 },
-        &[Mechanism::RefAb, Mechanism::Dsarp],
-        &[Density::G8],
-    ));
+    let mechs = [Mechanism::RefAb, Mechanism::Dsarp];
+    let sweep = |name: &str, cores: usize| {
+        SweepSpec::new(
+            name,
+            WorkloadSet::Intensive { cores },
+            &mechs,
+            &[Density::G8],
+        )
+    };
+    let mut cases: Vec<(SweepSpec, Override)> = vec![(sweep("plain", 2), |c| c)];
+    let mut s = sweep("subarrays", 2);
+    s.subarrays = 2;
+    cases.push((s, |c| c.with_subarrays(2)));
+    let mut s = sweep("faw_rrd", 2);
+    s.faw_rrd = Some((10, 2));
+    cases.push((s, |c| c.with_faw_rrd(10, 2)));
+    let mut s = sweep("drain_watermarks", 2);
+    s.drain_watermarks = Some((40, 24));
+    cases.push((s, |c| c.with_drain_watermarks(40, 24)));
+    let mut s = sweep("ablate_sarp_throttle", 2);
+    s.ablate_sarp_throttle = true;
+    cases.push((s, |c| c.with_sarp_throttle_ablated()));
+    let mut s = sweep("retention", 2);
+    s.retention = Retention::Ms64;
+    cases.push((s, |c| c.with_retention(Retention::Ms64)));
+    cases.push((sweep("cores", 4), |c| c.with_cores(4)));
+
+    let spec = cases
+        .iter()
+        .fold(CampaignSpec::new("parity", scale), |spec, (s, _)| {
+            spec.with_sweep(s.clone())
+        });
     let dir = tmpdir("parity");
     let report = Campaign::open(&dir, spec).unwrap().run().unwrap();
-    let campaign_grid = report.grid("demo");
-
-    let workloads = scale.intensive_workloads_with_seed(2, spec_seed());
-    let direct = Grid::compute_with(
-        &workloads,
-        &[Mechanism::RefAb, Mechanism::Dsarp],
-        &[Density::G8],
-        &scale,
-        |m, d| SimConfig::paper(*m, *d).with_cores(2),
-    );
-    assert_eq!(campaign_grid.rows().len(), direct.rows().len());
-    for row in direct.rows() {
-        let got = campaign_grid
-            .get(&row.workload, row.mechanism, row.density)
-            .unwrap_or_else(|| panic!("campaign grid missing {}", row.workload));
-        assert_eq!(got, row, "campaign cell must equal the direct computation");
+    for (sweep, with_override) in &cases {
+        let campaign_grid = report.grid(&sweep.name);
+        let workloads = scale.intensive_workloads_with_seed(sweep.cores, spec_seed());
+        let direct = Grid::compute_with(&workloads, &mechs, &[Density::G8], &scale, |m, d| {
+            with_override(SimConfig::paper(*m, *d).with_cores(2))
+        });
+        assert_eq!(campaign_grid.rows().len(), direct.rows().len());
+        for row in direct.rows() {
+            let got = campaign_grid
+                .get(&row.workload, row.mechanism, row.density)
+                .unwrap_or_else(|| {
+                    panic!("{}: campaign grid missing {}", sweep.name, row.workload)
+                });
+            assert_eq!(
+                got, row,
+                "{}: campaign cell must equal the direct computation",
+                sweep.name
+            );
+        }
     }
     let _ = std::fs::remove_dir_all(dir);
 }

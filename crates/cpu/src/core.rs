@@ -641,7 +641,7 @@ mod tests {
 
     #[test]
     fn pure_compute_reaches_issue_width() {
-        let trace = CyclicTrace::new(vec![TraceOp {
+        let trace = CyclicTrace::from(vec![TraceOp {
             bubbles: 1_000_000,
             ..load(0)
         }]);
@@ -656,7 +656,7 @@ mod tests {
     #[test]
     fn llc_hits_pipeline_to_full_width() {
         // Window 128 >> width * hit latency, so hits fully overlap.
-        let trace = CyclicTrace::new(vec![load(0)]);
+        let trace = CyclicTrace::from(vec![load(0)]);
         let mut core = Core::new(0, CoreParams::paper_default(), Box::new(trace));
         let mut mem = AlwaysHit;
         for _ in 0..2_000 {
@@ -669,7 +669,7 @@ mod tests {
     fn mshr_exhaustion_stalls_issue() {
         // Distinct lines so nothing merges; 8 MSHRs fill, then issue stops.
         let ops: Vec<TraceOp> = (0..64).map(|i| load(i * 64)).collect();
-        let trace = CyclicTrace::new(ops);
+        let trace = CyclicTrace::from(ops);
         let mut core = Core::new(0, CoreParams::paper_default(), Box::new(trace));
         let (mut mem, tokens) = Recorder::new();
         for _ in 0..100 {
@@ -683,7 +683,7 @@ mod tests {
     #[test]
     fn completion_unblocks_and_retires_in_order() {
         let ops: Vec<TraceOp> = (0..4).map(|i| load(i * 64)).collect();
-        let trace = CyclicTrace::new(ops);
+        let trace = CyclicTrace::from(ops);
         let mut core = Core::new(0, CoreParams::paper_default(), Box::new(trace));
         let (mut mem, tokens) = Recorder::new();
         for _ in 0..10 {
@@ -705,7 +705,7 @@ mod tests {
     #[test]
     fn same_line_misses_merge_into_one_request() {
         let ops = vec![load(0x1000), load(0x1008), load(0x1010)];
-        let trace = CyclicTrace::new(ops);
+        let trace = CyclicTrace::from(ops);
         let mut core = Core::new(0, CoreParams::paper_default(), Box::new(trace));
         let (mut mem, tokens) = Recorder::new();
         core.step(&mut mem);
@@ -724,7 +724,7 @@ mod tests {
             addr: 0,
             dependent: false,
         }];
-        let trace = CyclicTrace::new(ops);
+        let trace = CyclicTrace::from(ops);
         // Small MSHR count: stores allocate MSHRs on miss, but retire anyway.
         let params = CoreParams {
             mshrs: 2,
@@ -750,7 +750,7 @@ mod tests {
                 dependent: true,
             })
             .collect();
-        let trace = CyclicTrace::new(ops);
+        let trace = CyclicTrace::from(ops);
         let mut core = Core::new(0, CoreParams::paper_default(), Box::new(trace));
         let (mut mem, tokens) = Recorder::new();
         for _ in 0..50 {
@@ -767,7 +767,7 @@ mod tests {
 
     #[test]
     fn busy_memory_stalls_and_retries() {
-        let trace = CyclicTrace::new(vec![load(0)]);
+        let trace = CyclicTrace::from(vec![load(0)]);
         let mut core = Core::new(0, CoreParams::paper_default(), Box::new(trace));
         let (mut mem, tokens) = Recorder::new();
         mem.busy = true;
@@ -808,7 +808,7 @@ mod tests {
 
     #[test]
     fn idle_probe_fresh_core_is_active() {
-        let trace = CyclicTrace::new(vec![load(0)]);
+        let trace = CyclicTrace::from(vec![load(0)]);
         let core = Core::new(0, CoreParams::paper_default(), Box::new(trace));
         assert_eq!(core.idle_probe(&|_| false), CoreIdle::Active);
     }
@@ -826,7 +826,7 @@ mod tests {
             let mut core = Core::new(
                 0,
                 CoreParams::paper_default(),
-                Box::new(CyclicTrace::new(ops.clone())),
+                Box::new(CyclicTrace::from(ops.clone())),
             );
             let (mut mem, _) = Recorder::new();
             for _ in 0..200 {
@@ -860,7 +860,7 @@ mod tests {
             let mut core = Core::new(
                 0,
                 CoreParams::paper_default(),
-                Box::new(CyclicTrace::new(ops.clone())),
+                Box::new(CyclicTrace::from(ops.clone())),
             );
             core.step(&mut AlwaysHit);
             core
@@ -891,7 +891,7 @@ mod tests {
             let mut core = Core::new(
                 0,
                 CoreParams::paper_default(),
-                Box::new(CyclicTrace::new(ops.clone())),
+                Box::new(CyclicTrace::from(ops.clone())),
             );
             let (mut mem, _) = Recorder::new();
             for _ in 0..100 {
@@ -915,7 +915,7 @@ mod tests {
             let mut core = Core::new(
                 0,
                 CoreParams::paper_default(),
-                Box::new(CyclicTrace::new(vec![load(0)])),
+                Box::new(CyclicTrace::from(vec![load(0)])),
             );
             let (mut mem, _) = Recorder::new();
             mem.busy = true;
@@ -947,7 +947,7 @@ mod tests {
             Core::new(
                 0,
                 CoreParams::paper_default(),
-                Box::new(CyclicTrace::new(ops.clone())),
+                Box::new(CyclicTrace::from(ops.clone())),
             )
         };
         let (mut a, mut b) = (mk(), mk());
@@ -987,7 +987,7 @@ mod tests {
             let mut c = Core::new(
                 0,
                 CoreParams::paper_default(),
-                Box::new(CyclicTrace::new(ops.clone())),
+                Box::new(CyclicTrace::from(ops.clone())),
             );
             c.step(&mut AlwaysHit);
             c
@@ -1021,7 +1021,7 @@ mod tests {
         let mut core = Core::new(
             0,
             CoreParams::paper_default(),
-            Box::new(CyclicTrace::new(ops)),
+            Box::new(CyclicTrace::from(ops)),
         );
         let (mut mem, _) = Recorder::new();
         for _ in 0..5 {
@@ -1045,7 +1045,7 @@ mod tests {
             let mut c = Core::new(
                 0,
                 CoreParams::paper_default(),
-                Box::new(CyclicTrace::new(ops.clone())),
+                Box::new(CyclicTrace::from(ops.clone())),
             );
             for _ in 0..31 {
                 c.step(&mut AlwaysHit);
@@ -1095,7 +1095,7 @@ mod tests {
             Core::new(
                 0,
                 CoreParams::paper_default(),
-                Box::new(CyclicTrace::new(ops.clone())),
+                Box::new(CyclicTrace::from(ops.clone())),
             )
         };
         let (mut a, mut b) = (mk(), mk());
@@ -1145,7 +1145,7 @@ mod tests {
             let mut c = Core::new(
                 0,
                 CoreParams::paper_default(),
-                Box::new(CyclicTrace::new(ops.clone())),
+                Box::new(CyclicTrace::from(ops.clone())),
             );
             for _ in 0..4 {
                 c.step(&mut AlwaysHit);
@@ -1175,7 +1175,7 @@ mod tests {
                 ..load(64)
             },
         ];
-        let trace = CyclicTrace::new(ops);
+        let trace = CyclicTrace::from(ops);
         let mut core = Core::new(0, CoreParams::paper_default(), Box::new(trace));
         let (mut mem, _tokens) = Recorder::new();
         for _ in 0..200 {

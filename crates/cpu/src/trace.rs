@@ -6,6 +6,7 @@
 //! that realize SPEC/STREAM/TPC/RandomAccess-like behaviour.
 
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Kind of memory operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -40,55 +41,40 @@ pub trait TraceSource {
     fn next_op(&mut self) -> TraceOp;
 }
 
-/// A fixed cyclic trace, convenient for tests.
+/// A fixed cyclic trace over shared ops: tests build one from a
+/// `Vec<TraceOp>`, and many sources (alone + grid cells of the same
+/// captured file) replay one parsed snapshot without cloning the ops per
+/// job.
 #[derive(Debug, Clone)]
 pub struct CyclicTrace {
-    ops: Vec<TraceOp>,
+    ops: Arc<[TraceOp]>,
     pos: usize,
 }
 
 impl CyclicTrace {
-    /// Creates a trace repeating `ops` forever.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ops` is empty.
-    pub fn new(ops: Vec<TraceOp>) -> Self {
-        assert!(!ops.is_empty(), "cyclic trace needs at least one op");
-        Self { ops, pos: 0 }
-    }
-}
-
-impl TraceSource for CyclicTrace {
-    fn next_op(&mut self) -> TraceOp {
-        let op = self.ops[self.pos];
-        self.pos = (self.pos + 1) % self.ops.len();
-        op
-    }
-}
-
-/// A cyclic trace over shared ops: many sources (alone + grid cells of
-/// the same captured file) replay one parsed snapshot without cloning
-/// the `Vec<TraceOp>` per job.
-#[derive(Debug, Clone)]
-pub struct SharedCyclicTrace {
-    ops: std::sync::Arc<[TraceOp]>,
-    pos: usize,
-}
-
-impl SharedCyclicTrace {
     /// Creates a trace repeating the shared `ops` forever.
     ///
     /// # Panics
     ///
     /// Panics if `ops` is empty.
-    pub fn new(ops: std::sync::Arc<[TraceOp]>) -> Self {
+    pub fn new(ops: Arc<[TraceOp]>) -> Self {
         assert!(!ops.is_empty(), "cyclic trace needs at least one op");
         Self { ops, pos: 0 }
     }
 }
 
-impl TraceSource for SharedCyclicTrace {
+impl From<Vec<TraceOp>> for CyclicTrace {
+    /// Creates a trace repeating `ops` forever.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ops` is empty.
+    fn from(ops: Vec<TraceOp>) -> Self {
+        Self::new(ops.into())
+    }
+}
+
+impl TraceSource for CyclicTrace {
     fn next_op(&mut self) -> TraceOp {
         let op = self.ops[self.pos];
         self.pos = (self.pos + 1) % self.ops.len();
@@ -114,7 +100,7 @@ mod tests {
             addr: 64,
             dependent: false,
         };
-        let mut t = CyclicTrace::new(vec![a, b]);
+        let mut t = CyclicTrace::from(vec![a, b]);
         assert_eq!(t.next_op(), a);
         assert_eq!(t.next_op(), b);
         assert_eq!(t.next_op(), a);
@@ -123,6 +109,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one op")]
     fn empty_cyclic_trace_panics() {
-        let _ = CyclicTrace::new(vec![]);
+        let _ = CyclicTrace::from(vec![]);
     }
 }

@@ -294,7 +294,7 @@ mod tests {
     }
 
     fn roundtrip(ops: &[TraceOp]) -> Vec<TraceOp> {
-        let mut src = crate::trace::CyclicTrace::new(ops.to_vec());
+        let mut src = crate::trace::CyclicTrace::from(ops.to_vec());
         let mut buf = Vec::new();
         export(&mut src, ops.len(), &mut buf).unwrap();
         collect(&mut FileTrace::parse(std::io::Cursor::new(buf)).unwrap())

@@ -755,7 +755,7 @@ pub fn convert_bytes(
     let mut summary = scan_trace_bytes(bytes, Materialize::All)?;
     let ops = summary.ops.take().expect("Materialize::All keeps ops");
     let n = ops.len();
-    let mut src = CyclicTrace::new(ops);
+    let mut src = CyclicTrace::from(ops);
     let mut out = Vec::new();
     export_dialect(&mut src, n, &mut out, to)?;
     Ok((summary, out))
@@ -969,7 +969,7 @@ mod tests {
     }
 
     fn emit(ops: &[TraceOp], dialect: TraceDialect) -> Vec<u8> {
-        let mut src = CyclicTrace::new(ops.to_vec());
+        let mut src = CyclicTrace::from(ops.to_vec());
         let mut out = Vec::new();
         export_dialect(&mut src, ops.len(), &mut out, dialect).unwrap();
         out
@@ -1278,9 +1278,14 @@ mod tests {
 
     #[test]
     fn shared_cyclic_trace_matches_cyclic_trace() {
+        // Sources over one shared snapshot keep their own positions and
+        // replay exactly what a trace built from the same ops does.
         let ops = awkward_ops();
-        let mut a = CyclicTrace::new(ops.clone());
-        let mut b = crate::trace::SharedCyclicTrace::new(ops.clone().into());
+        let shared: std::sync::Arc<[TraceOp]> = ops.clone().into();
+        let mut a = CyclicTrace::from(ops.clone());
+        let mut b = CyclicTrace::new(std::sync::Arc::clone(&shared));
+        let mut ahead = CyclicTrace::new(shared);
+        assert_eq!(ahead.next_op(), ops[0]);
         for _ in 0..2 * ops.len() + 3 {
             assert_eq!(a.next_op(), b.next_op());
         }

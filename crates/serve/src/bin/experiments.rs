@@ -87,17 +87,18 @@
 //! statistics. The result store lives under `--campaign` (default
 //! `.campaign/`); `--fresh` wipes it first.
 
+use dsarp_campaign::paper;
 use dsarp_campaign::store::SHARDS;
 use dsarp_campaign::{
-    export, lease, traces, Campaign, CampaignClient, CampaignReport, CampaignSpec, Event, EventLog,
+    export, lease, traces, Campaign, CampaignClient, CampaignSpec, Event, EventLog, PaperArtifacts,
     RemoteStore, Store, SweepSpec, WorkerOptions, WorkloadSet,
 };
 use dsarp_core::Mechanism;
 use dsarp_dram::Density;
 use dsarp_sim::experiments::{
-    ablations, chart, fig05, fig06_07, fig12_table2, fig13, fig14, fig15, fig16,
+    chart, fig05, fig12_table2,
     harness::{Scale, WORKLOAD_SEED},
-    overlap, report, table3, table4, table5, table6,
+    report,
 };
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -448,26 +449,10 @@ fn parse_args() -> Args {
         // names; only the built-in paper campaign has a fixed artifact
         // list to validate against.
         if spec_file.is_none() && traces.is_none() {
-            const KNOWN: [&str; 15] = [
-                "fig5",
-                "fig6",
-                "fig7",
-                "fig12",
-                "table2",
-                "fig13",
-                "fig14",
-                "fig15",
-                "fig16",
-                "table3",
-                "table4",
-                "table5",
-                "table6",
-                "overlap",
-                "ablations",
-            ];
+            let known = paper::artifacts();
             assert!(
-                KNOWN.contains(&name),
-                "unknown experiment `{name}`; expected one of {KNOWN:?}"
+                known.contains(&name),
+                "unknown experiment `{name}`; expected one of {known:?}"
             );
         }
     }
@@ -519,30 +504,6 @@ fn event_log(args: &Args) -> Arc<EventLog> {
 
 fn wanted(only: &Option<String>, name: &str) -> bool {
     only.as_deref().is_none_or(|o| o == name)
-}
-
-/// Which sweep-name prefixes the requested artifacts need.
-fn required_sweeps(only: &Option<String>) -> Vec<&'static str> {
-    const MAIN_ARTIFACTS: [&str; 8] = [
-        "fig6", "fig7", "fig12", "table2", "fig13", "fig14", "fig15", "fig16",
-    ];
-    let mut prefixes = Vec::new();
-    if MAIN_ARTIFACTS.iter().any(|n| wanted(only, n)) {
-        prefixes.push("main");
-    }
-    for (artifact, prefix) in [
-        ("table3", "table3/"),
-        ("table4", "table4/"),
-        ("table5", "table5/"),
-        ("table6", "table6"),
-        ("overlap", "overlap"),
-        ("ablations", "ablations/"),
-    ] {
-        if wanted(only, artifact) {
-            prefixes.push(prefix);
-        }
-    }
-    prefixes
 }
 
 /// The trace-sweep mechanisms `--traces DIR` evaluates by default; emit
@@ -619,7 +580,7 @@ fn resolve_spec(args: &Args) -> (CampaignSpec, bool) {
             (spec, true)
         }
         None => {
-            let prefixes = required_sweeps(&args.only);
+            let prefixes = paper::sweep_prefixes(args.only.as_deref());
             (CampaignSpec::paper(args.scale).filtered(&prefixes), false)
         }
     }
@@ -1060,7 +1021,6 @@ fn run_or_merge(args: &Args, spec: CampaignSpec, custom: bool) {
         finish(out, &md, t0);
         return;
     }
-    let prefixes = required_sweeps(&args.only);
     let events = event_log(args);
     let result = match (args.cmd, &args.store_url) {
         (Cmd::Merge, Some(url)) => {
@@ -1130,14 +1090,13 @@ fn run_or_merge(args: &Args, spec: CampaignSpec, custom: bool) {
         return;
     }
 
-    if prefixes.contains(&"main") {
-        reduce_main_grid(args, &result, &mut md, &t0, out);
+    let paper = PaperArtifacts::new(&result);
+    if let Some(grid) = paper.main_grid() {
+        export::write_grid(out, "main_grid", grid).unwrap();
+        reduce_main_grid(args, &paper, &mut md, &t0, out);
     }
     if wanted(&args.only, "table3") {
-        let rows: Vec<table3::Table3Row> = table3::CORE_SWEEP
-            .iter()
-            .map(|&cores| table3::reduce(result.grid(&format!("table3/cores{cores}")), cores))
-            .collect();
+        let rows = paper.table3();
         report::write_csv(out, "table3_core_count", &rows).unwrap();
         md.push_str(&report::to_markdown(
             "Table 3: DSARP vs REFab by core count (32 Gb, intensive, %)",
@@ -1146,12 +1105,7 @@ fn run_or_merge(args: &Args, spec: CampaignSpec, custom: bool) {
         println!("[{:>7.1?}] table3 done", t0.elapsed());
     }
     if wanted(&args.only, "table4") {
-        let rows: Vec<table4::Table4Row> = table4::SWEEP
-            .iter()
-            .map(|&(faw, rrd)| {
-                table4::reduce(result.grid(&format!("table4/faw{faw}-rrd{rrd}")), faw, rrd)
-            })
-            .collect();
+        let rows = paper.table4();
         report::write_csv(out, "table4_tfaw", &rows).unwrap();
         md.push_str(&report::to_markdown(
             "Table 4: SARPpb over REFpb vs tFAW/tRRD (32 Gb, %)",
@@ -1160,10 +1114,7 @@ fn run_or_merge(args: &Args, spec: CampaignSpec, custom: bool) {
         println!("[{:>7.1?}] table4 done", t0.elapsed());
     }
     if wanted(&args.only, "table5") {
-        let rows: Vec<table5::Table5Row> = table5::SWEEP
-            .iter()
-            .map(|&n| table5::reduce(result.grid(&format!("table5/sub{n}")), n))
-            .collect();
+        let rows = paper.table5();
         report::write_csv(out, "table5_subarrays", &rows).unwrap();
         md.push_str(&report::to_markdown(
             "Table 5: SARPpb over REFpb vs subarrays/bank (32 Gb, %)",
@@ -1172,22 +1123,7 @@ fn run_or_merge(args: &Args, spec: CampaignSpec, custom: bool) {
         println!("[{:>7.1?}] table5 done", t0.elapsed());
     }
     if wanted(&args.only, "ablations") {
-        let grids = ablations::AblationGrids {
-            throttle: result.grid("ablations/throttle").clone(),
-            unthrottled: result.grid("ablations/unthrottled").clone(),
-            darp: result.grid("ablations/darp").clone(),
-            watermarks: ablations::WATERMARK_SWEEP
-                .iter()
-                .map(|&(enter, exit)| {
-                    (
-                        enter,
-                        exit,
-                        result.grid(&format!("ablations/wm{enter}-{exit}")).clone(),
-                    )
-                })
-                .collect(),
-        };
-        let rows = ablations::reduce(&grids);
+        let rows = paper.ablations();
         report::write_csv(out, "ablations", &rows).unwrap();
         md.push_str(&report::to_markdown(
             "Ablations (32 Gb, intensive, %)",
@@ -1196,7 +1132,7 @@ fn run_or_merge(args: &Args, spec: CampaignSpec, custom: bool) {
         println!("[{:>7.1?}] ablations done", t0.elapsed());
     }
     if wanted(&args.only, "overlap") {
-        let rows = overlap::reduce(result.grid("overlap"), &overlap::OVERLAP_DENSITIES);
+        let rows = paper.overlap();
         report::write_csv(out, "overlap_extension", &rows).unwrap();
         md.push_str(&report::to_markdown(
             "Extension: footnote-5 overlapped REFpb (% over REFpb)",
@@ -1205,7 +1141,7 @@ fn run_or_merge(args: &Args, spec: CampaignSpec, custom: bool) {
         println!("[{:>7.1?}] overlap done", t0.elapsed());
     }
     if wanted(&args.only, "table6") {
-        let rows = table6::reduce(result.grid("table6"), &Density::evaluated());
+        let rows = paper.table6();
         report::write_csv(out, "table6_64ms", &rows).unwrap();
         md.push_str(&report::to_markdown(
             "Table 6: DSARP improvements at 64 ms retention (%)",
@@ -1232,17 +1168,13 @@ fn print_merge_report(t0: &Instant, opts: &WorkerOptions, worker: &dsarp_campaig
 
 fn reduce_main_grid(
     args: &Args,
-    result: &CampaignReport,
+    paper: &PaperArtifacts,
     md: &mut String,
     t0: &Instant,
     out: &Path,
 ) {
-    let densities = Density::evaluated();
-    let grid = result.grid("main");
-    export::write_grid(out, "main_grid", grid).unwrap();
-
     if wanted(&args.only, "fig6") || wanted(&args.only, "fig7") {
-        let (fig6, fig7) = fig06_07::reduce(grid, &densities);
+        let (fig6, fig7) = paper.fig06_07();
         report::write_csv(out, "fig06_refab_loss", &fig6).unwrap();
         report::write_csv(out, "fig07_refab_refpb_loss", &fig7).unwrap();
         md.push_str(&report::to_markdown(
@@ -1256,8 +1188,8 @@ fn reduce_main_grid(
     }
 
     if wanted(&args.only, "fig12") || wanted(&args.only, "table2") {
-        let fig12 = fig12_table2::reduce_fig12(grid, &densities);
-        let table2 = fig12_table2::reduce_table2(grid, &densities);
+        let fig12 = paper.fig12();
+        let table2 = paper.table2();
         report::write_csv(out, "fig12_sorted_ws", &fig12).unwrap();
         let series: Vec<(&str, Vec<f64>)> = [Mechanism::RefPb, Mechanism::Darp, Mechanism::Dsarp]
             .iter()
@@ -1283,7 +1215,7 @@ fn reduce_main_grid(
     }
 
     if wanted(&args.only, "fig13") {
-        let f13 = fig13::reduce(grid, &densities);
+        let f13 = paper.fig13();
         report::write_csv(out, "fig13_all_mechanisms", &f13).unwrap();
         md.push_str(&report::to_markdown(
             "Figure 13: gmean WS improvement over REFab (%)",
@@ -1302,7 +1234,7 @@ fn reduce_main_grid(
     }
 
     if wanted(&args.only, "fig14") {
-        let f14 = fig14::reduce(grid, &densities);
+        let f14 = paper.fig14();
         report::write_csv(out, "fig14_energy", &f14).unwrap();
         md.push_str(&report::to_markdown(
             "Figure 14: energy per access (nJ)",
@@ -1311,7 +1243,7 @@ fn reduce_main_grid(
     }
 
     if wanted(&args.only, "fig15") {
-        let f15 = fig15::reduce(grid, &densities);
+        let f15 = paper.fig15();
         report::write_csv(out, "fig15_intensity", &f15).unwrap();
         md.push_str(&report::to_markdown(
             "Figure 15: DSARP WS improvement by memory intensity (%)",
@@ -1320,7 +1252,7 @@ fn reduce_main_grid(
     }
 
     if wanted(&args.only, "fig16") {
-        let f16 = fig16::reduce(grid, &densities);
+        let f16 = paper.fig16();
         report::write_csv(out, "fig16_fgr_ar", &f16).unwrap();
         md.push_str(&report::to_markdown(
             "Figure 16: WS normalized to REFab",

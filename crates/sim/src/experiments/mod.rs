@@ -17,10 +17,13 @@
 //! | Ablations (throttle, DARP split, watermarks) | [`ablations`] |
 //! | Extension: footnote-5 overlapped REFpb | [`overlap`] |
 //!
-//! Each module offers `run(&Scale)` (self-contained) and `reduce(..)`
-//! over pre-computed [`Grid`]s. The `experiments` binary (in the
-//! `dsarp-campaign` crate) computes every grid through the cached,
-//! resumable campaign engine and reduces all artifacts from them.
+//! Each simulated module holds its sweep's constants and a `reduce(..)`
+//! over pre-computed [`Grid`]s; Figure 5 is analytic (`fig05::run()`).
+//! The sweeps themselves are declared once, by `CampaignSpec::paper` in
+//! the `dsarp-campaign` crate, which computes every grid through the
+//! cached, resumable campaign engine and reduces all artifacts from them
+//! (`dsarp_campaign::PaperArtifacts`). The `experiments` binary in the
+//! `dsarp-serve` crate drives it.
 
 pub mod ablations;
 pub mod chart;

@@ -7,10 +7,11 @@
 //! at 4 GHz over 2 channels × 2 ranks × 8 banks × 8 subarrays of
 //! DDR3-1333.
 //!
-//! The [`experiments`] module regenerates every table and figure of the
-//! paper's evaluation; the `experiments` binary in the `dsarp-campaign`
-//! crate (`cargo run --release -p dsarp-campaign --bin experiments`) drives
-//! them through the cached campaign engine and writes them to `results/`.
+//! The [`experiments`] module reduces result grids to every table and
+//! figure of the paper's evaluation; the `experiments` binary in the
+//! `dsarp-serve` crate (`cargo run --release -p dsarp-serve --bin
+//! experiments`) computes the grids through the cached campaign engine and
+//! writes the artifacts to `results/`.
 //!
 //! # Example
 //!

@@ -14,9 +14,13 @@ const PER_BANK_PERIOD: u64 = 2_600;
 fn max_gap(mech: Mechanism, cycles: u64) -> u64 {
     let wl = &mixes::intensive_mixes(8, 3)[0];
     let cfg = SimConfig::paper(mech, Density::G8);
-    let mut sys = SystemBuilder::new(&cfg).workload(wl).build();
-    sys.enable_retention_tracking();
-    sys.run(cycles).max_refresh_gap.expect("tracking enabled")
+    SystemBuilder::new(&cfg)
+        .workload(wl)
+        .retention_tracking(true)
+        .build()
+        .run(cycles)
+        .max_refresh_gap
+        .expect("tracking enabled")
 }
 
 #[test]
@@ -77,10 +81,12 @@ fn total_refresh_work_is_conserved_under_darp() {
     // window (8 per bank, pulled in or postponed).
     let wl = &mixes::intensive_mixes(8, 3)[0];
     let cfg = SimConfig::paper(Mechanism::Dsarp, Density::G8);
-    let mut sys = SystemBuilder::new(&cfg).workload(wl).build();
-    sys.enable_retention_tracking();
     let cycles = 100_000;
-    let stats = sys.run(cycles);
+    let stats = SystemBuilder::new(&cfg)
+        .workload(wl)
+        .retention_tracking(true)
+        .build()
+        .run(cycles);
     let scheduled_per_rank = cycles / 325; // tREFIpb ticks
     let scheduled = scheduled_per_rank * 4; // 2 channels x 2 ranks
     let window = 8 * 8 * 4; // 8 per bank x 8 banks x 4 ranks
